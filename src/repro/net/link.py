@@ -11,6 +11,8 @@ egress bytes for each wall-clock second of virtual time.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from itertools import accumulate, repeat
 from typing import Dict, List, Optional, Tuple
 
 
@@ -120,28 +122,22 @@ class EgressPort:
             self.total_messages += count
             return [now] * count
         per = size_bytes / self.capacity_bps
-        c = now if now > self._busy_until else self._busy_until
-        completions: List[float] = []
-        append = completions.append
-        for _ in range(count):
-            c += per  # iterative, matching sequential transmit() floats
-            append(c)
-        self._busy_until = c
-        # Attribute bytes per completion second, aggregating consecutive
-        # runs that land in the same second into one bucket update.
-        buckets = self.buckets
-        run_second = int(completions[0])
-        run_bytes = 0
-        for completion in completions:
-            second = int(completion)
-            if second != run_second:
-                buckets._buckets[run_second] = (
-                    buckets._buckets.get(run_second, 0) + run_bytes
-                )
-                run_second = second
-                run_bytes = 0
-            run_bytes += size_bytes
-        buckets._buckets[run_second] = buckets._buckets.get(run_second, 0) + run_bytes
+        start = now if now > self._busy_until else self._busy_until
+        # accumulate() adds left to right exactly like sequential
+        # transmit() calls, so the completion floats are bit-identical.
+        completions = list(accumulate(repeat(per, count), initial=start))
+        del completions[0]
+        self._busy_until = completions[-1]
+        # Attribute bytes per completion second: completions never
+        # decrease, so one bisect per touched second finds where the
+        # next second starts.
+        counters = self.buckets._buckets
+        index = 0
+        while index < count:
+            second = int(completions[index])
+            stop = bisect_left(completions, second + 1, index + 1)
+            counters[second] = counters.get(second, 0) + (stop - index) * size_bytes
+            index = stop
         self.total_bytes += size_bytes * count
         self.total_messages += count
         return completions

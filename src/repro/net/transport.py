@@ -17,10 +17,18 @@ Hot-path notes: all per-connection state lives in one flat table keyed by
 model the pair uses (it never changes while both endpoints stay
 registered), the model's constant sample when it declares a
 ``fixed_delay`` (constant models never touch the RNG), and the FIFO clamp.
-One dict lookup per message covers all four.  :meth:`send_many` is the
-bulk fan-out API: it computes the NIC drain incrementally, samples
-propagation once per *leg* (latency model) per batch, and schedules all
-deliveries through the kernel's pooled batch interface.
+One dict lookup per message covers all four.  :meth:`send_many` (and
+:meth:`send_fanout`, its pre-resolved twin) is the bulk fan-out API: it
+computes the NIC drain incrementally, samples propagation once per *leg*
+(latency model) per batch, and hands all deliveries to
+:meth:`~repro.sim.kernel.Simulator.schedule_batch` in destination order.
+The kernel stores the batch as runs of non-decreasing delivery times --
+one run for a single-leg fan-out, more when LAN and WAN legs interleave
+or a FIFO clamp raises a time mid-batch -- and delivery ``i`` keeps the
+sequence number sequential :meth:`send` calls would have given it, so
+bulk and one-at-a-time sends deliver in the same order.  The ``times``
+and ``args_seq`` lists are built fresh per call and never touched again,
+as the kernel's cursor requires.
 """
 
 from __future__ import annotations

@@ -8,21 +8,25 @@ deterministic for a fixed seed.
 
 Two interchangeable event-queue implementations are provided:
 
-* ``scheduler="heap"`` (the default): a binary heap of ``(time, seq,
-  event)`` tuples.  Tuple entries keep every comparison inside C -- the
-  ``(time, seq)`` prefix is unique, so the event object itself is never
-  compared.
+* ``scheduler="heap"`` (the default): a binary heap of tuples whose
+  ``(time, seq)`` prefix is unique, so every comparison stays inside C and
+  never reaches the payload.
 * ``scheduler="calendar"``: a calendar queue -- events are appended O(1)
   into fixed-width time buckets and each bucket is sorted once when the
-  clock enters it.  Profitable for workloads that schedule dense bursts of
-  near-simultaneous events (large fan-out batches); ordering semantics are
-  byte-identical to the heap.
+  clock enters it.  Ordering semantics are byte-identical to the heap.
 
-Both queues share the *fire-and-forget entry* representation used by
-:meth:`Simulator.schedule_batch`: bulk callers that never need a cancel
-handle (the transport's fan-out path) enqueue plain ``(time, seq, None,
-fn, args)`` tuples instead of allocating a ``ScheduledEvent`` per
-message -- the run loop skips all handle bookkeeping for them.
+Bulk callers that never need a cancel handle (the transport's fan-out
+path) use :meth:`Simulator.schedule_batch`.  On the heap, a batch is
+stored as *runs*: maximal stretches of non-decreasing times, each one
+heap entry holding a cursor into the caller's ``times`` / ``args_seq``.
+The run loop executes a run inline for as long as its next item is still
+the global ``(time, seq)`` minimum, and otherwise puts it back under that
+item's key -- so a 10k-destination fan-out costs one heap push and pop
+instead of 10k.  Item ``i`` of a batch keeps sequence number ``seq0 + i``
+exactly as if it had been scheduled on its own, so the execution order,
+the event counters and every hook are unchanged.  The calendar queue
+stores batch items as individual fire-and-forget ``(time, seq, None, fn,
+args)`` entries.
 """
 
 from __future__ import annotations
@@ -32,16 +36,26 @@ import heapq
 from bisect import insort
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-#: Queue entry.  Two shapes share every queue:
+#: Queue entry.  Three shapes exist:
 #:
 #: * ``(time, seq, event)`` -- a cancellable :class:`ScheduledEvent` handle
-#:   created by :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at`.
-#: * ``(time, seq, None, fn, args)`` -- a *fire-and-forget* entry created by
-#:   :meth:`Simulator.schedule_batch`; no handle object exists at all.
+#:   created by :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at`
+#:   (both queues).
+#: * ``(time, seq, None, run)`` -- a batch *run* on the heap (see
+#:   :data:`_R_IDX`); ``(time, seq)`` is the key of its next unexecuted item.
+#: * ``(time, seq, None, fn, args)`` -- one fire-and-forget batch item in
+#:   the calendar queue.
 #:
 #: The ``(time, seq)`` prefix is unique, so tuple comparison never falls
-#: through to the third element and the two shapes order consistently.
+#: through to the third element and the shapes order consistently.
 _Entry = Tuple[Any, ...]
+
+#: Index of the cursor in a heap run ``[fn, times, args_seq, idx, end,
+#: seq0]``: items ``idx .. end-1`` of the caller's parallel sequences are
+#: still pending, their times are non-decreasing, and item ``i`` has
+#: sequence number ``seq0 + i``.  A run is a mutable list so the cursor
+#: advances in place.
+_R_IDX = 3
 
 
 class ScheduledEvent:
@@ -52,7 +66,7 @@ class ScheduledEvent:
     queue but is skipped when popped).
 
     :meth:`Simulator.schedule_batch` never creates these at all: batch
-    events are enqueued as plain fire-and-forget tuples with no handle.
+    items are queued as heap runs or calendar tuples with no handle.
     """
 
     __slots__ = ("time", "seq", "fn", "args", "cancelled", "_sim")
@@ -147,6 +161,15 @@ class Simulator:
         self._running = False
         # --- heap scheduler state ---
         self._heap: List[_Entry] = []
+        #: run entries currently in ``_heap`` (a run being executed inline
+        #: has been popped and is not counted)
+        self._runs_queued: int = 0
+        #: ``_batch_debt - _events_processed`` is the number of batch items
+        #: not yet executed: :meth:`schedule_batch` adds its item count and
+        #: every executed plain event adds one, so only batch items pay the
+        #: debt down.  Keeps :attr:`pending_count` exact without a per-item
+        #: counter in the run loop.
+        self._batch_debt: int = 0
         # --- calendar scheduler state ---
         self._use_calendar = scheduler == "calendar"
         self._bucket_s = calendar_bucket_s
@@ -198,10 +221,19 @@ class Simulator:
 
     @property
     def pending_count(self) -> int:
-        """Number of events still queued, including cancelled ones."""
+        """Number of events still queued, including cancelled ones.
+
+        Every not-yet-executed batch item counts as one event, whether or
+        not it shares a heap entry with others.
+        """
         if self._use_calendar:
             return self._cal_count
-        return len(self._heap)
+        return (
+            len(self._heap)
+            - self._runs_queued
+            + self._batch_debt
+            - self._events_processed
+        )
 
     @property
     def cancelled_pending(self) -> int:
@@ -255,18 +287,35 @@ class Simulator:
 
         ``times`` and ``args_seq`` are parallel sequences (kept separate so
         bulk callers need not build a pair tuple per event).  Batch events
-        are enqueued as fire-and-forget ``(time, seq, None, fn, args)``
-        tuples: no :class:`ScheduledEvent` is allocated, no handle is
-        returned, and batch events cannot be cancelled by callers -- in
-        exchange the run loop pays zero handle bookkeeping for them.
+        are fire-and-forget: no :class:`ScheduledEvent` is allocated, no
+        handle is returned, and batch events cannot be cancelled by
+        callers -- in exchange the run loop pays zero handle bookkeeping
+        for them.  Item ``i`` gets sequence number ``seq0 + i``, so it
+        orders exactly as if scheduled on its own with :meth:`schedule_at`.
+
+        On the heap the batch is split into runs of non-decreasing times,
+        one heap entry each, that keep cursors into ``times`` and
+        ``args_seq``: the caller hands both sequences over and must not
+        mutate them afterwards.
+
+        The batch is atomic: every time is validated before anything is
+        enqueued, so a rejected batch leaves the queue untouched.
         Returns the number of events scheduled.
         """
+        count = len(times)
+        if len(args_seq) != count:
+            raise ValueError(
+                f"times and args_seq differ in length: {count} != {len(args_seq)}"
+            )
+        if not count:
+            return 0
         now = self._now
-        seq = self._seq
-        heap = self._heap
-        push = heapq.heappush
-        count = 0
         if self._use_calendar:
+            earliest = min(times)
+            if earliest < now:
+                raise ValueError(f"cannot schedule in the past: {earliest} < {now}")
+            seq = self._seq
+            self._seq = seq + count
             # Inlined _cal_insert with a same-bucket fast path: fan-out
             # batches land overwhelmingly in one bucket (near-identical
             # delivery times), so after the first insert each event is a
@@ -277,9 +326,8 @@ class Simulator:
             current_key = self._current_key
             last_key: Optional[int] = None
             last_bucket: Optional[List[_Entry]] = None
+            push = heapq.heappush
             for time, args in zip(times, args_seq):
-                if time < now:
-                    raise ValueError(f"cannot schedule in the past: {time} < {now}")
                 entry = (time, seq, None, fn, args)
                 key = int(time / bucket_s)
                 if key == last_key:
@@ -298,16 +346,41 @@ class Simulator:
                     last_key = key
                     last_bucket = bucket
                 seq += 1
-                count += 1
             self._cal_count += count
-        else:
-            for time, args in zip(times, args_seq):
-                if time < now:
-                    raise ValueError(f"cannot schedule in the past: {time} < {now}")
-                push(heap, (time, seq, None, fn, args))
-                seq += 1
-                count += 1
-        self._seq = seq
+            return count
+        # Split into runs: a run starts wherever a time drops below its
+        # predecessor.  Runs never decrease, so the earliest time of the
+        # batch is the earliest run start.
+        earliest = prev = times[0]
+        starts: Optional[List[int]] = None
+        for index, time in enumerate(times):
+            if time < prev:
+                if starts is None:
+                    starts = [0]
+                starts.append(index)
+                if time < earliest:
+                    earliest = time
+            prev = time
+        if earliest < now:
+            raise ValueError(f"cannot schedule in the past: {earliest} < {now}")
+        seq = self._seq
+        self._seq = seq + count
+        self._batch_debt += count
+        if starts is None:
+            # One run (every single-item and every sorted batch).
+            heapq.heappush(
+                self._heap, (earliest, seq, None, [fn, times, args_seq, 0, count, seq])
+            )
+            self._runs_queued += 1
+            return count
+        stops = starts[1:]
+        stops.append(count)
+        heap = self._heap
+        for start, stop in zip(starts, stops):
+            heapq.heappush(
+                heap, (times[start], seq + start, None, [fn, times, args_seq, start, stop, seq])
+            )
+        self._runs_queued += len(starts)
         return count
 
     # ------------------------------------------------------------------
@@ -437,6 +510,7 @@ class Simulator:
             live_entries = []
             for entry in self._heap:
                 event = entry[2]
+                # Batch runs (event is None) are kept whole.
                 if event is None or not event.cancelled:
                     live_entries.append(entry)
             self._heap = live_entries
@@ -467,27 +541,25 @@ class Simulator:
         self.sample_every = every
         self._sample_next = self._events_processed + every
 
-    def _execute(self, entry: _Entry) -> None:
-        """Run one queue entry's callback and fire the instrumentation hooks.
+    def _release(self, event: ScheduledEvent) -> Tuple[Callable[..., None], Tuple[Any, ...]]:
+        """Take a popped handle's callback and mark the handle spent.
 
-        For :class:`ScheduledEvent` entries the handle state is released
-        *before* running so an event rescheduling itself does not grow
-        memory; fire-and-forget entries carry no handle to release.
+        The handle state is released *before* running so an event
+        rescheduling itself does not grow memory.
         """
-        event = entry[2]
-        if event is None:
-            fn = entry[3]
-            args = entry[4]
-        else:
-            fn = event.fn
-            args = event.args
-            assert fn is not None  # non-cancelled events carry a callback
-            # This event already left the queue, so its self-cancel must
-            # not count toward the compaction trigger.
-            event._sim = None
-            event.cancelled = True
-            event.fn = None
-            event.args = ()
+        fn = event.fn
+        args = event.args
+        assert fn is not None  # non-cancelled events carry a callback
+        # This event already left the queue, so its self-cancel must
+        # not count toward the compaction trigger.
+        event._sim = None
+        event.cancelled = True
+        event.fn = None
+        event.args = ()
+        return fn, args
+
+    def _execute(self, fn: Callable[..., None], args: Tuple[Any, ...]) -> None:
+        """Run one callback and fire the instrumentation hooks."""
         self._events_processed += 1
         fn(*args)
         hook = self.event_hook
@@ -547,7 +619,8 @@ class Simulator:
         """Execute the single next pending event.
 
         Returns ``True`` if an event ran, ``False`` if the queue is empty.
-        Cancelled events are discarded silently.
+        Cancelled events are discarded silently.  A batch run executes one
+        item per call.
         """
         if self._use_calendar:
             while True:
@@ -556,21 +629,38 @@ class Simulator:
                     return False
                 self._cal_pop()
                 event = entry[2]
-                if event is not None and event.cancelled:
+                if event is None:
+                    fn, args = entry[3], entry[4]
+                elif event.cancelled:
                     self._cancelled_pending -= 1
                     continue
+                else:
+                    fn, args = self._release(event)
                 self._now = entry[0]
-                self._execute(entry)
+                self._execute(fn, args)
                 return True
         heap = self._heap
         while heap:
             entry = heapq.heappop(heap)
             event = entry[2]
-            if event is not None and event.cancelled:
+            if event is None:
+                run = entry[3]
+                fn, times, args_seq, idx, end, seq0 = run
+                nxt = idx + 1
+                if nxt < end:
+                    run[_R_IDX] = nxt
+                    heapq.heappush(heap, (times[nxt], seq0 + nxt, None, run))
+                else:
+                    self._runs_queued -= 1
+                args = args_seq[idx]
+            elif event.cancelled:
                 self._cancelled_pending -= 1
                 continue
+            else:
+                fn, args = self._release(event)
+                self._batch_debt += 1
             self._now = entry[0]
-            self._execute(entry)
+            self._execute(fn, args)
             return True
         return False
 
@@ -689,15 +779,83 @@ class Simulator:
                             else gc_next
                         )
             else:
-                # The heap loop is the simulator's hottest code: _execute()
-                # is inlined to shave per-event call overhead (identical
-                # observable behaviour).
+                # The heap loop is the simulator's hottest code: callback
+                # execution is inlined to shave per-event call overhead
+                # (identical observable behaviour).
                 heap = self._heap
                 pop = heapq.heappop
+                push = heapq.heappush
                 while heap:
                     entry = heap[0]
                     event = entry[2]
-                    if event is not None and event.cancelled:
+                    if event is None:
+                        # A batch run: execute its items inline while the
+                        # next one is still the global (time, seq) minimum.
+                        t = entry[0]
+                        if t > time:
+                            break
+                        pop(heap)
+                        self._runs_queued -= 1
+                        run = entry[3]
+                        fn, times, args_seq, idx, end, seq0 = run
+                        try:
+                            while True:
+                                self._now = t
+                                self._events_processed += 1
+                                args = args_seq[idx]
+                                idx += 1
+                                fn(*args)
+                                if hook is not None:
+                                    hook(self._now, self._events_processed)
+                                if profiler is not None:
+                                    profiler.record_event(fn, self._now)
+                                if self._events_processed >= pause_next:
+                                    if self._events_processed >= self._sample_next:
+                                        self._sample_next = (
+                                            self._events_processed + self.sample_every
+                                        )
+                                        sample = self.sample_hook
+                                        if sample is not None:
+                                            sample(self._now, self._events_processed)
+                                    if self._events_processed >= gc_next:
+                                        gc.collect(1)
+                                        gc_next = (
+                                            self._events_processed
+                                            + self.GC_MAINTENANCE_EVENTS
+                                        )
+                                    pause_next = (
+                                        self._sample_next
+                                        if self._sample_next < gc_next
+                                        else gc_next
+                                    )
+                                if idx == end:
+                                    break
+                                t = times[idx]
+                                # Callbacks may have pushed events (or compacted
+                                # the heap): yield to anything now ahead.
+                                heap = self._heap
+                                if t <= time:
+                                    if not heap:
+                                        continue
+                                    head = heap[0]
+                                    head_t = head[0]
+                                    if t < head_t or (t == head_t and seq0 + idx < head[1]):
+                                        continue
+                                run[_R_IDX] = idx
+                                push(heap, (t, seq0 + idx, None, run))
+                                self._runs_queued += 1
+                                break
+                        except BaseException:
+                            # A callback raised: keep the run's unexecuted
+                            # items queued so the simulation can resume.
+                            if idx < end:
+                                run[_R_IDX] = idx
+                                push(self._heap, (times[idx], seq0 + idx, None, run))
+                                self._runs_queued += 1
+                            raise
+                        heap = self._heap
+                        continue
+                    if event.cancelled:
                         pop(heap)
                         self._cancelled_pending -= 1
                         continue
@@ -705,20 +863,15 @@ class Simulator:
                         break
                     pop(heap)
                     self._now = entry[0]
-                    if event is None:
-                        # Fire-and-forget batch entry: no handle state to
-                        # release, cannot be cancelled.
-                        fn = entry[3]
-                        args = entry[4]
-                    else:
-                        fn = event.fn
-                        args = event.args
-                        # Already out of the queue: the self-cancel marker
-                        # must not count toward the compaction trigger.
-                        event._sim = None
-                        event.cancelled = True
-                        event.fn = None
-                        event.args = ()
+                    fn = event.fn
+                    args = event.args
+                    # Already out of the queue: the self-cancel marker
+                    # must not count toward the compaction trigger.
+                    event._sim = None
+                    event.cancelled = True
+                    event.fn = None
+                    event.args = ()
+                    self._batch_debt += 1
                     self._events_processed += 1
                     fn(*args)
                     if hook is not None:

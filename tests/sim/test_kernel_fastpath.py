@@ -10,6 +10,7 @@ from random import Random
 
 import pytest
 
+from repro.sim import kernel
 from repro.sim.kernel import Simulator
 
 
@@ -114,6 +115,28 @@ class TestScheduleBatch:
         with pytest.raises(ValueError):
             sim.schedule_batch(lambda: None, [4.0], [()])
 
+    @pytest.mark.parametrize("scheduler", ["heap", "calendar"])
+    def test_rejected_batch_leaves_queue_untouched(self, scheduler):
+        # A past time in the *middle* of a batch must reject the whole
+        # batch before anything is enqueued or a sequence number is used.
+        sim = Simulator(scheduler=scheduler)
+        sim.run_until(5.0)
+        fired = []
+        with pytest.raises(ValueError):
+            sim.schedule_batch(fired.append, [6.0, 4.0], [("a",), ("b",)])
+        assert sim.pending_count == 0
+        sim.schedule_at(6.0, fired.append, "plain")
+        sim.schedule_batch(fired.append, [6.0], [("batch",)])
+        assert sim.pending_count == 2
+        sim.run_until(10.0)
+        assert fired == ["plain", "batch"]
+        assert sim.pending_count == 0
+
+    def test_mismatched_lengths_rejected(self, sim):
+        with pytest.raises(ValueError):
+            sim.schedule_batch(lambda: None, [1.0, 2.0], [()])
+        assert sim.pending_count == 0
+
     def test_ties_with_schedule_interleave_by_insertion(self, sim):
         order = []
         sim.schedule_at(1.0, order.append, "plain-1")
@@ -122,13 +145,45 @@ class TestScheduleBatch:
         sim.run_until(1.0)
         assert order == ["plain-1", "batch-1", "batch-2", "plain-2"]
 
-    def test_batch_entries_are_fire_and_forget(self, sim):
-        # Batch events carry no ScheduledEvent handle at all: the queue
-        # holds plain (time, seq, None, fn, args) tuples.
-        sim.schedule_batch(lambda: None, [0.1] * 16, [()] * 16)
-        assert len(sim._heap) == 16
-        assert all(len(entry) == 5 and entry[2] is None for entry in sim._heap)
+    def test_batch_entries_are_fire_and_forget(self, sim, monkeypatch):
+        # Batch events carry no ScheduledEvent handle at all, yet each one
+        # counts as a pending event until it runs.
+        created = []
+
+        class CountingEvent(kernel.ScheduledEvent):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                created.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(kernel, "ScheduledEvent", CountingEvent)
+        fired = []
+        sim.schedule_batch(fired.append, [0.1] * 16, [(k,) for k in range(16)])
+        assert sim.pending_count == 16
         sim.run_until(1.0)
+        assert created == []
+        assert fired == list(range(16))
+        assert sim.pending_count == 0
+        assert sim.events_processed == 16
+
+    @pytest.mark.parametrize("scheduler", ["heap", "calendar"])
+    def test_raising_callback_keeps_rest_of_batch_queued(self, scheduler):
+        sim = Simulator(scheduler=scheduler)
+        fired = []
+
+        def deliver(k):
+            fired.append(k)
+            if k == 2:
+                raise RuntimeError("boom")
+
+        sim.schedule_batch(deliver, [1.0 + 0.1 * k for k in range(6)], [(k,) for k in range(6)])
+        with pytest.raises(RuntimeError, match="boom"):
+            sim.run_until(5.0)
+        assert fired == [0, 1, 2]
+        assert sim.pending_count == 3
+        sim.run_until(5.0)
+        assert fired == list(range(6))
         assert sim.pending_count == 0
 
     def test_repeated_batches_preserve_args(self, sim):
@@ -156,12 +211,34 @@ class TestBatchCompactionInteraction:
         for handle in doomed:
             handle.cancel()
         assert sim.compactions >= 1
-        # Every batch entry survived the rebuild (tombstones cancelled
-        # *after* the last compaction may still occupy slots).
-        assert sum(1 for e in sim._heap if e[2] is None) == 10
-        assert sim.pending_count < 210
+        # The tombstones are freed; the batch items all still count.
+        assert 10 <= sim.pending_count < 210
         sim.run_until(300.0)
         assert fired == list(range(10))
+        assert sim.pending_count == 0
+
+    @pytest.mark.parametrize("scheduler", ["heap", "calendar"])
+    def test_compaction_inside_a_batch_callback(self, scheduler):
+        # The first batch item cancels enough timers to compact the queue,
+        # then schedules an event that must run before the next item.
+        sim = Simulator(scheduler=scheduler)
+        order = []
+        doomed = [sim.schedule_at(10.0, order.append, "never") for _ in range(100)]
+
+        def first(tag):
+            order.append(tag)
+            for handle in doomed:
+                handle.cancel()
+            sim.schedule_at(1.5, order.append, "pushed")
+
+        sim.schedule_batch(
+            lambda tag: first(tag) if tag == "item-0" else order.append(tag),
+            [1.0, 2.0, 3.0],
+            [("item-0",), ("item-1",), ("item-2",)],
+        )
+        sim.run_until(20.0)
+        assert sim.compactions >= 1
+        assert order == ["item-0", "pushed", "item-1", "item-2"]
 
     def test_compaction_on_calendar_preserves_batch_entries(self):
         sim = Simulator(scheduler="calendar")
