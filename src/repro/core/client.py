@@ -63,13 +63,13 @@ DeliveryCallback = Callable[[str, Any, AppEnvelope], None]
 ResponseTimeHook = Callable[[str, float, float], None]
 
 
-@dataclass
+@dataclass(slots=True)
 class _PlanEntry:
     mapping: ChannelMapping
     last_activity: float
 
 
-@dataclass
+@dataclass(slots=True)
 class _Subscription:
     callback: DeliveryCallback
     #: servers we currently hold (or are establishing) subscriptions on
@@ -88,6 +88,24 @@ class _Reconcile:
 
 class DynamothClient(Actor):
     """A client node speaking the Dynamoth protocol."""
+
+    #: Every attribute ``__init__`` sets (DESIGN.md §6f): a fixed layout
+    #: keeps each of thousands of subscribers off a private dict.  New
+    #: client state must be declared here.
+    __slots__ = (
+        "_ring", "_rng", "_plan_entry_timeout", "_resubscribe_grace",
+        "_ping_interval", "_ping_miss_limit", "_subscribe_ack_timeout",
+        "_reconnect_backoff_base", "_reconnect_backoff_max",
+        "_failed_server_ttl", "_tracer", "_entries", "_ch_cache", "_subs",
+        "_reconcile", "_pending_drops", "_seen_ids", "_seen_order",
+        "_dedup_window", "_msg_counter", "_rel", "_causal", "_parked",
+        "_park_token", "_failed_servers", "_ping_pending",
+        "_publish_targets", "_acked", "_recovery_pending",
+        "_recovery_attempt", "_ping_task", "on_response_time",
+        "on_delivery", "on_wire_delivery", "published", "delivered",
+        "duplicates", "redirects", "switches", "disconnects", "failovers",
+        "reconnects", "resubscribes", "causal_timeouts",
+    )
 
     #: Dedup window size: ids of the most recent deliveries remembered.
     DEDUP_WINDOW = 8192
@@ -524,27 +542,18 @@ class DynamothClient(Actor):
     # ------------------------------------------------------------------
     def receive(self, message: Any, src_id: str) -> None:
         if isinstance(message, Delivery):
-            # Hot path: one call per application delivery.  ``_touch``,
-            # ``_is_duplicate`` and the non-causal tail of ``_deliver_app``
-            # are inlined here (the methods remain for the other call
-            # sites); ``sim._now`` skips the ``now`` property descriptor.
+            # Hot path: one call per application delivery.
             delivery = message
             envelope = delivery.payload
             if not isinstance(envelope, AppEnvelope):
                 return
             channel = delivery.channel
-            sim = self.sim
-            entry = self._entries.get(channel)
-            if entry is not None:
-                entry.last_activity = sim._now
-
-            body = envelope.body
-            if isinstance(body, SwitchNotice):
+            self._touch(channel)
+            if isinstance(envelope.body, SwitchNotice):
                 self.switches += 1
-                self._apply_mapping(channel, body.mapping)
+                self._apply_mapping(channel, envelope.body.mapping)
                 return
 
-            tracer = self._tracer
             if self.on_wire_delivery is not None:
                 # Protocol-level tap: fires for every app delivery that
                 # made it off the wire, *before* seq/dedup suppression (a
@@ -559,7 +568,7 @@ class DynamothClient(Actor):
                     delivery.seq,
                     delivery.epoch,
                     delivery.replayed,
-                    sim._now,
+                    self.sim.now,
                 )
                 if outcome.request is not None:
                     after, up_to = outcome.request
@@ -574,33 +583,11 @@ class DynamothClient(Actor):
                     # replayed duplicate -- dropped *before* any msg-id
                     # bookkeeping so replay traffic can never cycle fresh
                     # ids out of the dedup window.
-                    self.duplicates += 1
-                    if tracer.enabled:
-                        tracer.metrics.counter(
-                            "duplicates_total", client=self.node_id
-                        ).inc()
+                    self._count_duplicate()
                     return
 
-            # -- inline _is_duplicate --
-            msg_id = envelope.msg_id
-            seen = self._seen_ids
-            order = self._seen_order
-            count = seen.get(msg_id)
-            seen[msg_id] = (count + 1) if count is not None else 1
-            order.append(msg_id)
-            if len(order) > self._dedup_window:
-                oldest = order.popleft()
-                remaining = seen[oldest] - 1
-                if remaining:
-                    seen[oldest] = remaining
-                else:
-                    del seen[oldest]
-            if count is not None:
-                self.duplicates += 1
-                if tracer.enabled:
-                    tracer.metrics.counter(
-                        "duplicates_total", client=self.node_id
-                    ).inc()
+            if self._is_duplicate(envelope.msg_id):
+                self._count_duplicate()
                 return
 
             if self._causal and rel is not None and envelope.pub_seq > 0:
@@ -612,41 +599,7 @@ class DynamothClient(Actor):
                 self._deliver_app(channel, envelope, delivery)
                 self._release_parked(channel)
                 return
-
-            # -- inline _deliver_app (non-causal tail) --
-            self.delivered += 1
-            if rel is not None and envelope.pub_seq > 0:
-                rel.note_app_delivery(channel, envelope.sender, envelope.pub_seq)
-            if tracer.enabled:
-                latency = sim.now - envelope.sent_at
-                tracer.emit(
-                    DeliveryEvent(
-                        sim.now,
-                        self.node_id,
-                        channel,
-                        envelope.msg_id,
-                        envelope.sender,
-                        latency,
-                        envelope.plan_version,
-                        delivery.server_id,
-                    )
-                )
-                tracer.metrics.histogram(
-                    "delivery_latency_s", channel_class=channel_class(channel)
-                ).observe(latency)
-                # Single global counter so streaming runs (which keep no
-                # event buffer to count DeliveryEvents in) still report
-                # totals.
-                tracer.metrics.counter("deliveries_received_total").inc()
-
-            if self.on_delivery is not None:
-                self.on_delivery(channel, envelope, delivery)
-            if envelope.sender == self.node_id and self.on_response_time is not None:
-                self.on_response_time(channel, sim.now - envelope.sent_at, sim.now)
-
-            sub = self._subs.get(channel)
-            if sub is not None:
-                sub.callback(channel, body, envelope)
+            self._deliver_app(channel, envelope, delivery)
         elif isinstance(message, MappingNotice):
             self.redirects += 1
             self._apply_mapping(message.channel, message.mapping)
@@ -765,6 +718,11 @@ class DynamothClient(Actor):
             ).inc()
         for envelope, delivery in parked:
             self._deliver_app(channel, envelope, delivery)
+
+    def _count_duplicate(self) -> None:
+        self.duplicates += 1
+        if self._tracer.enabled:
+            self._tracer.metrics.counter("duplicates_total", client=self.node_id).inc()
 
     def _is_duplicate(self, msg_id: str) -> bool:
         """Message-id dedup with a count-aware LRU window.

@@ -12,6 +12,16 @@ model.  Sending a message involves, in order:
    has shut down in the meantime, in which case the message is dropped and
    counted.
 
+Every scheduled delivery carries the destination *actor* the send
+resolved, not its id.  On arrival :meth:`Transport._deliver` checks that
+actor in two slot reads -- still attached to this transport and alive --
+and hands it the message.  When the check fails the actor was shut down,
+or unregistered (and perhaps replaced) while the message was in flight;
+the delivery then falls back to a lookup by id: an actor registered
+under the same id since then receives it, otherwise it is dropped and
+counted in :attr:`Transport.dropped_dead`.  Arrival semantics are
+therefore exactly those of a lookup by id on every delivery.
+
 Hot-path notes: all per-connection state lives in one flat table keyed by
 ``(src, dst)`` tuples -- the resolved destination actor, which latency
 model the pair uses (it never changes while both endpoints stay
@@ -96,7 +106,10 @@ class Transport:
         #: pruned entry.
         self.pair_epoch: int = 0
         self.messages_sent: int = 0
-        self.messages_dropped: int = 0
+        #: messages whose destination was gone, at send or at arrival
+        self.dropped_dead: int = 0
+        #: messages the fault plane lost (partition or sampled loss)
+        self.dropped_fault_plane: int = 0
         #: optional network fault plane (installed by
         #: :class:`repro.faults.FaultInjector`).  Consulted per message:
         #: may drop it (partition, loss) or add delay (jitter).  ``None``
@@ -138,6 +151,11 @@ class Transport:
         self.pair_epoch += 1
         if actor is not None:
             actor.transport = None
+
+    @property
+    def messages_dropped(self) -> int:
+        """Every dropped message, whatever the reason."""
+        return self.dropped_dead + self.dropped_fault_plane
 
     def actor(self, node_id: str) -> Optional[Actor]:
         return self._actors.get(node_id)
@@ -190,7 +208,7 @@ class Transport:
             extra = plane.apply(src_id, dst_id)
             if extra is None:
                 # Lost in the network: the bytes still occupied the NIC.
-                self.messages_dropped += 1
+                self.dropped_fault_plane += 1
                 return completion, completion
         else:
             extra = 0.0
@@ -202,7 +220,7 @@ class Transport:
         if state is None or not state[_P_DST].alive:
             # Destination already gone: the bytes still occupied the NIC,
             # but nothing arrives.
-            self.messages_dropped += 1
+            self.dropped_dead += 1
             return completion, completion
 
         fixed = state[_P_FIXED]
@@ -215,7 +233,9 @@ class Transport:
             if delivery_time < state[_P_FIFO]:
                 delivery_time = state[_P_FIFO]  # FIFO: never overtake
             state[_P_FIFO] = delivery_time
-        self.sim.schedule_at(delivery_time, self._deliver, dst_id, message, src_id)
+        self.sim.schedule_at(
+            delivery_time, self._deliver, state[_P_DST], message, src_id
+        )
         self.messages_sent += 1
         return completion, delivery_time
 
@@ -245,8 +265,8 @@ class Transport:
 
         Returns the transmit-completion time per destination, in order.
         Destinations that are dead or lose the message to the fault plane
-        are skipped and counted in :attr:`messages_dropped`; their bytes
-        still occupied the NIC.
+        are skipped and counted in :attr:`dropped_dead` or
+        :attr:`dropped_fault_plane`; their bytes still occupied the NIC.
         """
         if src_id not in self._actors:
             raise KeyError(f"unknown sender: {src_id}")
@@ -266,20 +286,20 @@ class Transport:
         args_seq: List[Tuple[Any, ...]] = []
         add_time = times.append
         add_args = args_seq.append
-        dropped = 0
+        dead = lost = 0
+        extra = 0.0
         for index, dst_id in enumerate(dst_ids):
             if plane is not None:
-                extra = plane.apply(src_id, dst_id)
-                if extra is None:
-                    dropped += 1
+                verdict = plane.apply(src_id, dst_id)
+                if verdict is None:
+                    lost += 1
                     continue
-            else:
-                extra = 0.0
+                extra = verdict
             state = pairs.get((src_id, dst_id))
             if state is None:
                 state = self._classify_pair((src_id, dst_id))
             if state is None or not state[_P_DST].alive:
-                dropped += 1
+                dead += 1
                 continue
             fixed = state[_P_FIXED]
             if fixed is not None:
@@ -296,12 +316,14 @@ class Transport:
                 delivery_time = state[_P_FIFO]
             state[_P_FIFO] = delivery_time
             add_time(delivery_time)
-            add_args((dst_id, message, src_id))
+            add_args((state[_P_DST], message, src_id))
         if times:
             sim.schedule_batch(self._deliver, times, args_seq)
             self.messages_sent += len(times)
-        if dropped:
-            self.messages_dropped += dropped
+        if dead:
+            self.dropped_dead += dead
+        if lost:
+            self.dropped_fault_plane += lost
         return completions
 
     def fanout_states(
@@ -349,6 +371,7 @@ class Transport:
         workloads are dominated by tiny fan-outs).
         """
         sim = self.sim
+        plane = self.fault_plane
         if len(dst_ids) == 1:
             # Single-destination fast path: no completion list, no batch
             # lists, no leg-sample table.  Float math matches the batch
@@ -358,11 +381,10 @@ class Transport:
             completion = port.transmit(sim.now, size_bytes)
             if min_completions is not None and min_completions[0] > completion:
                 completion = min_completions[0]
-            plane = self.fault_plane
             if plane is not None:
                 extra = plane.apply(src_id, dst_id)
                 if extra is None:
-                    self.messages_dropped += 1
+                    self.dropped_fault_plane += 1
                     return [completion]
             else:
                 extra = 0.0
@@ -372,7 +394,7 @@ class Transport:
                 if state is None:
                     state = self._classify_pair((src_id, dst_id))
             if state is None or not state[_P_DST].alive:
-                self.messages_dropped += 1
+                self.dropped_dead += 1
                 return [completion]
             fixed = state[_P_FIXED]
             if fixed is not None:
@@ -384,7 +406,7 @@ class Transport:
                 delivery_time = state[_P_FIFO]
             state[_P_FIFO] = delivery_time
             sim.schedule_batch(
-                self._deliver, (delivery_time,), ((dst_id, message, src_id),)
+                self._deliver, (delivery_time,), ((state[_P_DST], message, src_id),)
             )
             self.messages_sent += 1
             return [completion]
@@ -394,7 +416,6 @@ class Transport:
             for index, floor in enumerate(min_completions):
                 if floor > completions[index]:
                     completions[index] = floor
-        plane = self.fault_plane
         pairs = self._pairs
         rng = self._rng
         #: one propagation sample per latency model ("leg") per batch; the
@@ -408,92 +429,57 @@ class Transport:
         args_seq: List[Tuple[Any, ...]] = []
         add_time = times.append
         add_args = args_seq.append
-        dropped = 0
-        if plane is None:
-            # Specialized copy of the loop below with the fault-plane
-            # branch (and its per-destination ``extra`` add) removed --
-            # the dominant configuration in large fan-out workloads.
-            for dst_id, state, completion in zip(dst_ids, states, completions):
+        dead = lost = 0
+        extra = 0.0
+        for dst_id, state, completion in zip(dst_ids, states, completions):
+            if plane is not None:
+                verdict = plane.apply(src_id, dst_id)
+                if verdict is None:
+                    lost += 1
+                    continue
+                extra = verdict
+            if state is None:
+                state = pairs.get((src_id, dst_id))
                 if state is None:
-                    state = pairs.get((src_id, dst_id))
+                    state = self._classify_pair((src_id, dst_id))
                     if state is None:
-                        state = self._classify_pair((src_id, dst_id))
-                    if state is None or not state[_P_DST].alive:
-                        dropped += 1
+                        dead += 1
                         continue
-                elif not state[_P_DST].alive:
-                    dropped += 1
-                    continue
-                fixed = state[_P_FIXED]
-                if fixed is not None:
-                    latency = fixed
+            dst = state[_P_DST]
+            if not dst.alive:
+                dead += 1
+                continue
+            fixed = state[_P_FIXED]
+            if fixed is not None:
+                latency = fixed
+            else:
+                model = state[_P_MODEL]
+                if model is last_model:
+                    latency = last_latency
                 else:
-                    model = state[_P_MODEL]
-                    if model is last_model:
-                        latency = last_latency
-                    else:
-                        if leg_samples is None:
-                            leg_samples = {}
-                        leg = id(model)
-                        cached = leg_samples.get(leg)
-                        if cached is None:
-                            cached = model.sample(rng)
-                            leg_samples[leg] = cached
-                        latency = cached
-                        last_model = model
-                        last_latency = cached
-                delivery_time = completion + latency
-                if delivery_time < state[_P_FIFO]:
-                    delivery_time = state[_P_FIFO]
-                state[_P_FIFO] = delivery_time
-                add_time(delivery_time)
-                add_args((dst_id, message, src_id))
-        else:
-            for index, dst_id in enumerate(dst_ids):
-                extra = plane.apply(src_id, dst_id)
-                if extra is None:
-                    dropped += 1
-                    continue
-                state = states[index]
-                if state is None:
-                    state = pairs.get((src_id, dst_id))
-                    if state is None:
-                        state = self._classify_pair((src_id, dst_id))
-                    if state is None or not state[_P_DST].alive:
-                        dropped += 1
-                        continue
-                elif not state[_P_DST].alive:
-                    dropped += 1
-                    continue
-                fixed = state[_P_FIXED]
-                if fixed is not None:
-                    latency = fixed
-                else:
-                    model = state[_P_MODEL]
-                    if model is last_model:
-                        latency = last_latency
-                    else:
-                        if leg_samples is None:
-                            leg_samples = {}
-                        leg = id(model)
-                        cached = leg_samples.get(leg)
-                        if cached is None:
-                            cached = model.sample(rng)
-                            leg_samples[leg] = cached
-                        latency = cached
-                        last_model = model
-                        last_latency = cached
-                delivery_time = completions[index] + latency + extra
-                if delivery_time < state[_P_FIFO]:
-                    delivery_time = state[_P_FIFO]
-                state[_P_FIFO] = delivery_time
-                add_time(delivery_time)
-                add_args((dst_id, message, src_id))
+                    if leg_samples is None:
+                        leg_samples = {}
+                    leg = id(model)
+                    cached = leg_samples.get(leg)
+                    if cached is None:
+                        cached = model.sample(rng)
+                        leg_samples[leg] = cached
+                    latency = cached
+                    last_model = model
+                    last_latency = cached
+            delivery_time = completion + latency + extra
+            if delivery_time < state[_P_FIFO]:
+                delivery_time = state[_P_FIFO]
+            state[_P_FIFO] = delivery_time
+            add_time(delivery_time)
+            add_args((dst, message, src_id))
         if times:
             sim.schedule_batch(self._deliver, times, args_seq)
             self.messages_sent += len(times)
-        if dropped:
-            self.messages_dropped += dropped
+        if dead:
+            self.dropped_dead += dead
+        if lost:
+            self.dropped_fault_plane += lost
         return completions
 
     def _classify_pair(self, key: Tuple[str, str]) -> Optional[List[Any]]:
@@ -521,9 +507,14 @@ class Transport:
         self._pairs[key] = state
         return state
 
-    def _deliver(self, dst_id: str, message: Any, src_id: str) -> None:
-        dst = self._actors.get(dst_id)
-        if dst is None or not dst.alive:
-            self.messages_dropped += 1
+    def _deliver(self, dst: Actor, message: Any, src_id: str) -> None:
+        if dst.transport is self and dst.alive:
+            dst.receive(message, src_id)
             return
-        dst.receive(message, src_id)
+        # Shut down, or unregistered while the message was in flight: an
+        # actor registered under the same id since then receives it.
+        current = self._actors.get(dst.node_id)
+        if current is None or not current.alive:
+            self.dropped_dead += 1
+            return
+        current.receive(message, src_id)

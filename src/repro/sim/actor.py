@@ -22,6 +22,12 @@ from repro.sim.kernel import Simulator
 class Actor:
     """Base class for all simulated nodes."""
 
+    #: Fixed slots for the fields every delivery reads (``transport`` and
+    #: ``alive`` at arrival).  ``__dict__`` stays: the cluster assigns
+    #: ``tap`` per instance, benchmark ledgers wrap client methods per
+    #: instance, and tests monkeypatch instances.
+    __slots__ = ("sim", "node_id", "is_infra", "transport", "alive", "__dict__")
+
     #: Optional message tap ``(src, dst, message, size_bytes) -> None``,
     #: fired on every outbound send.  A class-level ``None`` default keeps
     #: the untapped cost at one attribute check; the cluster assigns the

@@ -3,6 +3,7 @@
 from random import Random
 import pytest
 
+from repro.faults.netfaults import NetworkFaultPlane
 from repro.net.latency import FixedLatency
 from repro.net.transport import Transport
 from repro.sim.actor import Actor
@@ -125,3 +126,44 @@ class TestDelivery:
         lone = Recorder(sim, "x")
         with pytest.raises(RuntimeError):
             lone.send("y", "m", 1)
+
+
+class TestDropReasons:
+    def _trio(self, sim, net):
+        actors = [Recorder(sim, node_id) for node_id in ("a", "b", "c")]
+        for actor in actors:
+            net.register(actor)
+        plane = NetworkFaultPlane(Random(7))
+        plane.partition("a", "b")
+        net.fault_plane = plane
+        return actors
+
+    @pytest.mark.parametrize("mode", ["send", "many", "fanout", "fanout1"])
+    def test_fault_plane_and_dead_destination_counted_apart(self, sim, net, mode):
+        a, b, c = self._trio(sim, net)
+        c.shutdown()
+        if mode == "send":
+            net.send("a", "b", "m", 10)
+            net.send("a", "c", "m", 10)
+        elif mode == "many":
+            net.send_many("a", ["b", "c"], "m", 10)
+        elif mode == "fanout":
+            net.send_fanout("a", ["b", "c"], net.fanout_states("a", ["b", "c"]), "m", 10)
+        else:
+            for dst in ("b", "c"):
+                net.send_fanout("a", [dst], net.fanout_states("a", [dst]), "m", 10)
+        sim.run_until(1.0)
+        assert net.dropped_fault_plane == 1
+        assert net.dropped_dead == 1
+        assert net.messages_dropped == 2
+
+    def test_death_in_flight_counts_as_dead(self, sim, net):
+        a, b, c = self._trio(sim, net)
+        net.send("a", "c", "m", 10)
+        c.shutdown()
+        sim.run_until(1.0)
+        assert (net.dropped_dead, net.dropped_fault_plane) == (1, 0)
+
+    def test_messages_dropped_is_read_only(self, net):
+        with pytest.raises(AttributeError):
+            net.messages_dropped = 0
