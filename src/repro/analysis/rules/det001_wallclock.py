@@ -42,8 +42,8 @@ class WallClockRule(Rule):
 
     Exempt paths (``wallclock-allowed`` globs, or a
     ``# repro: scope[wallclock-ok]`` pragma): experiment harnesses and
-    observability export code, which legitimately measure host wall time
-    -- the perf bench exists to report it.
+    observability export code, which may legitimately measure host wall
+    time without feeding it back into the simulation.
     """
 
     ID = "DET001"

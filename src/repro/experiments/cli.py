@@ -30,7 +30,7 @@ from typing import List, Optional
 
 from repro.core.cluster import BALANCER_CONSISTENT_HASHING, BALANCER_DYNAMOTH
 from repro.core.config import DELIVERY_TIERS
-from repro.experiments import bench, chaos, experiment1, experiment2, experiment3, report
+from repro.experiments import chaos, experiment1, experiment2, experiment3, report
 from repro.obs.export import dump_tracer
 from repro.obs.profile import SimProfiler, render_profile
 from repro.obs.sink import StreamingJsonlSink
@@ -115,45 +115,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fig7", help="Experiment 3 (elasticity)")
     p.add_argument("--paper-scale", action="store_true")
     _add_common(p)
-
-    p = sub.add_parser(
-        "bench", help="performance benchmark scenarios (events/sec, wall time, RSS)"
-    )
-    p.add_argument(
-        "--profile",
-        choices=sorted(bench.PROFILES),
-        default="full",
-        help="scenario sizing: 'smoke' for CI, 'full' for the committed numbers",
-    )
-    p.add_argument(
-        "--scenario",
-        action="append",
-        choices=sorted(bench.SCENARIOS),
-        default=None,
-        help="run only this scenario (repeatable; default: all)",
-    )
-    p.add_argument(
-        "--scheduler",
-        choices=("heap", "calendar"),
-        default="heap",
-        help="event-queue implementation driving the kernel",
-    )
-    p.add_argument("--repeat", type=int, default=1, help="runs per scenario; keep fastest")
-    p.add_argument("--output", metavar="PATH", default=None, help="write results JSON here")
-    p.add_argument(
-        "--baseline",
-        metavar="PATH",
-        default=None,
-        help="committed bench JSON to compare against (e.g. BENCH_PR4.json)",
-    )
-    p.add_argument(
-        "--max-regression",
-        type=float,
-        default=0.20,
-        help="fail (exit 1) when fan-out events/s drops more than this "
-        "fraction below the baseline (default 0.20)",
-    )
-    p.add_argument("--seed", type=int, default=0, help="root RNG seed")
 
     p = sub.add_parser(
         "chaos", help="broker-crash recovery scenario (repro.faults)"
@@ -250,36 +211,6 @@ def _dump(tracer: Optional[Tracer], args) -> None:
         print(render_profile(tracer.profiler.snapshot()))
 
 
-def _run_bench(args) -> int:
-    import json
-
-    profile = bench.PROFILES[args.profile]
-    results = bench.run_bench(
-        profile,
-        seed=args.seed,
-        scenarios=args.scenario,
-        scheduler=args.scheduler,
-        repeat=args.repeat,
-    )
-    print(bench.render_results(results))
-    doc = bench.results_to_dict(profile, results)
-    if args.output:
-        bench.write_json(args.output, doc)
-        logger.info("wrote bench results to %s", args.output)
-    if args.baseline:
-        try:
-            with open(args.baseline, "r", encoding="utf-8") as fh:
-                baseline = json.load(fh)
-        except OSError as exc:
-            raise SystemExit(f"error: cannot read baseline: {exc}")
-        error = bench.compare_to_baseline(doc, baseline, args.max_regression)
-        if error is not None:
-            print(f"FAIL: {error}", file=sys.stderr)
-            return 1
-        print(f"baseline check OK (within {args.max_regression:.0%} of baseline)")
-    return 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     logging.basicConfig(
@@ -289,8 +220,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     tracer = _make_tracer(args)
 
-    if args.command == "bench":
-        return _run_bench(args)
     if args.command == "fig4a":
         result = experiment1.run_fig4a(
             args.levels, seed=args.seed, measure_s=args.measure_s, tracer=tracer

@@ -5,9 +5,6 @@ merges the results into byte-stable JSON / markdown reports:
 
 * ``check``  -- property-test soak: N generated scenario seeds through
   the :mod:`repro.check` oracles;
-* ``bench``  -- the :mod:`repro.experiments.bench` scenario matrix,
-  one scenario per work unit (each in a fresh interpreter when
-  ``--procs`` > 1, which doubles as GC/RSS isolation);
 * ``lab``    -- record each :mod:`repro.lab` live scenario and replay
   its history against every registered rebalancing policy.
 
@@ -15,7 +12,7 @@ Every work unit is a frozen dataclass of primitives (spawn-picklable)
 and every worker is a module-level function, so the pool works under
 the ``spawn`` start method.  Results are merged in task order -- never
 completion order -- so a sweep's report is byte-identical whether it
-ran on one process or eight (timing fields excepted for ``bench``).
+ran on one process or eight.
 
 This package is deliberately inside the determinism sanitizer's DET001
 scope (it is *not* in ``wallclock-allowed``): sweep code must not read
@@ -25,27 +22,21 @@ drives (``repro.experiments`` / ``repro.obs``).
 
 from repro.sweep.orchestrator import (
     SWEEP_SCHEMA,
-    bench_sweep,
     check_sweep,
     lab_sweep,
     run_tasks,
 )
 from repro.sweep.workers import (
-    BenchTask,
     CheckTask,
     LabTask,
-    bench_worker,
     check_worker,
     lab_worker,
 )
 
 __all__ = [
     "SWEEP_SCHEMA",
-    "BenchTask",
     "CheckTask",
     "LabTask",
-    "bench_sweep",
-    "bench_worker",
     "check_sweep",
     "check_worker",
     "lab_sweep",

@@ -1,16 +1,13 @@
-"""``python -m repro.sweep`` -- multiprocess soak / bench / lab sweeps.
+"""``python -m repro.sweep`` -- multiprocess soak / lab sweeps.
 
 Subcommands::
 
     check   soak N generated check-scenario seeds through every oracle
-    bench   run the bench scenario matrix, one scenario per work unit
     lab     record each live lab scenario and compare every policy
 
-All three fan work over a ``spawn`` process pool (``--procs``) and
-merge results in task order, so the JSON/markdown reports are
-byte-stable across process counts (bench wall-time fields excepted).
-``bench`` can gate on a committed baseline exactly like
-``python -m repro.experiments bench --baseline``.
+Both fan work over a ``spawn`` process pool (``--procs``) and merge
+results in task order, so the JSON/markdown reports are byte-stable
+across process counts.
 """
 
 from __future__ import annotations
@@ -18,11 +15,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, Optional, Sequence
 
 from repro.sweep.orchestrator import (
-    bench_markdown,
-    bench_sweep,
     check_markdown,
     check_sweep,
     lab_markdown,
@@ -79,39 +74,6 @@ def _cmd_check(args: argparse.Namespace, out: _Out) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace, out: _Out) -> int:
-    from repro.experiments.bench import SCENARIOS, compare_to_baseline
-
-    names = args.scenario or list(SCENARIOS)
-
-    def progress(result: Dict[str, Any]) -> None:
-        r = result["result"]
-        out(
-            f"{result['scenario']}: {r['events']} events in "
-            f"{r['wall_s']:.2f}s ({r['events_per_s']:.0f} events/s)"
-        )
-
-    doc = bench_sweep(
-        names,
-        profile=args.profile,
-        scheduler=args.scheduler,
-        seed=args.seed,
-        repeat=args.repeat,
-        procs=args.procs,
-        progress=progress,
-    )
-    _write_outputs(doc, bench_markdown(doc), args, out)
-    if args.baseline:
-        with open(args.baseline, "r", encoding="utf-8") as fh:
-            baseline = json.load(fh)
-        error = compare_to_baseline(doc, baseline, args.max_regression)
-        if error is not None:
-            out(f"REGRESSION: {error}")
-            return 1
-        out(f"headline within {args.max_regression:.0%} of baseline")
-    return 0
-
-
 def _cmd_lab(args: argparse.Namespace, out: _Out) -> int:
     def progress(result: Dict[str, Any]) -> None:
         report = result["report"]
@@ -135,8 +97,8 @@ def _cmd_lab(args: argparse.Namespace, out: _Out) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.sweep",
-        description="Multiprocess sweeps over check soaks, bench "
-        "scenarios, and policy-lab comparisons.",
+        description="Multiprocess sweeps over check soaks and "
+        "policy-lab comparisons.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -158,24 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="pin causal-order mode instead of sampling it")
     common(check)
     check.set_defaults(func=_cmd_check)
-
-    bench = sub.add_parser("bench", help="run the bench scenario matrix")
-    bench.add_argument("--profile", default="full",
-                       help="bench profile name (default: full)")
-    bench.add_argument("--scheduler", default="heap",
-                       choices=["heap", "calendar"])
-    bench.add_argument("--scenario", action="append", default=[],
-                       help="scenario to run (repeatable; default: all)")
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--repeat", type=int, default=1,
-                       help="repeats per scenario, keep the fastest")
-    bench.add_argument("--baseline", default="",
-                       help="bench JSON to gate the headline metric against")
-    bench.add_argument("--max-regression", type=float, default=0.2,
-                       help="allowed headline regression vs baseline "
-                            "(default: 0.2)")
-    common(bench)
-    bench.set_defaults(func=_cmd_bench)
 
     lab = sub.add_parser("lab", help="record lab scenarios, compare policies")
     lab.add_argument("--scenario", action="append",

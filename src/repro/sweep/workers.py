@@ -3,9 +3,7 @@
 Each task is a frozen dataclass of primitives (hashable, picklable under
 the ``spawn`` start method) and each worker is a plain module-level
 function mapping one task to one JSON-serializable dict.  Workers never
-read the wall clock themselves (DET001 scope): any host-time numbers in
-a bench result come from :mod:`repro.experiments.bench`, which owns
-measurement.
+read the wall clock (DET001 scope).
 
 Pool worker processes are reused across tasks, and single-process mode
 runs every task in the orchestrating interpreter -- so each worker ends
@@ -18,7 +16,7 @@ back simulations in one process pin every dead topology permanently
 from __future__ import annotations
 
 import hashlib
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
 from repro.sim.kernel import Simulator
@@ -31,17 +29,6 @@ class CheckTask:
     seed: int
     delivery_tier: Optional[str] = None
     causal_order: Optional[bool] = None
-
-
-@dataclass(frozen=True)
-class BenchTask:
-    """One bench scenario (with its own repeat-keep-fastest loop)."""
-
-    scenario: str
-    profile: str = "full"
-    scheduler: str = "heap"
-    seed: int = 0
-    repeat: int = 1
 
 
 @dataclass(frozen=True)
@@ -86,26 +73,6 @@ def check_worker(task: CheckTask) -> Dict[str, Any]:
     }
     Simulator.gc_release()
     return out
-
-
-def bench_worker(task: BenchTask) -> Dict[str, Any]:
-    """Run one bench scenario; ``run_bench`` keeps the fastest repeat."""
-    from repro.experiments.bench import PROFILES, run_bench
-
-    profile = PROFILES[task.profile]
-    results = run_bench(
-        profile,
-        seed=task.seed,
-        scenarios=[task.scenario],
-        scheduler=task.scheduler,
-        repeat=task.repeat,
-    )
-    # run_bench already released the GC freeze after each repeat.
-    return {
-        "scenario": task.scenario,
-        "seed": task.seed,
-        "result": asdict(results[task.scenario]),
-    }
 
 
 def lab_worker(task: LabTask) -> Dict[str, Any]:

@@ -1,5 +1,6 @@
-"""Reliable-delivery tier, end to end: reconnect replay, truthful
-eviction, zero-budget degradation, and the dedup-window regression.
+"""Reliable-delivery tier, end to end: reconnect replay, lossy-link
+repair, truthful eviction, zero-budget degradation, and the dedup-window
+regression.
 
 These tests drive the full broker/client stack (real transport, real
 reconnect path) rather than the unit-level state machines covered by
@@ -13,13 +14,19 @@ from __future__ import annotations
 
 from random import Random
 
+import pytest
+
+from repro.broker.config import BrokerConfig
 from repro.core.client import DynamothClient
 from repro.core.cluster import BALANCER_NONE, DynamothCluster
 from repro.core.config import DynamothConfig
 from repro.core.hashing import ConsistentHashRing
+from repro.faults.injector import FaultInjector
+from repro.faults.schedule import ChaosSchedule, DegradeLink
 from repro.obs.export import event_to_json
 from repro.obs.trace import ReplayEvent, ReplayGapEvent, Tracer
 from repro.sim.kernel import Simulator
+from repro.sim.timers import PeriodicTask
 
 
 def _cluster(config: DynamothConfig, *, tracer=None, seed: int = 0) -> DynamothCluster:
@@ -77,6 +84,87 @@ class TestReconnectReplay:
         config = DynamothConfig(delivery_tier="exactly_once")
         cluster, sub, got, server = _outage_run(config)
         assert sorted(got) == ["away0", "away1", "live0", "live1", "live2"]
+
+
+def _lossy_window_run(tier: str, *, channels: int = 8, subs: int = 5):
+    """A steady multi-channel workload whose first two channels' subscriber
+    links to every broker drop 40% of messages for the middle third of a
+    10 s publishing window -- the canonical gap-producing fault, identical
+    across tiers (same seed, same fault plane).
+
+    Returns (app deliveries, replayed messages summed over the brokers).
+    """
+    duration = 10.0
+    cluster = DynamothCluster(
+        seed=0,
+        config=DynamothConfig(max_servers=2, delivery_tier=tier),
+        broker_config=BrokerConfig(nominal_egress_bps=8_000_000.0),
+        initial_servers=2,
+        balancer=BALANCER_NONE,
+    )
+    delivered = [0]
+
+    def on_delivery(channel, body, envelope) -> None:
+        delivered[0] += 1
+
+    subscribers = []
+    tasks = []
+    for c in range(channels):
+        channel = f"tile:{c}"
+        for s in range(subs):
+            client = cluster.create_client(f"sub-{c}-{s}")
+            client.subscribe(channel, on_delivery)
+            subscribers.append(client)
+        publisher = cluster.create_client(f"pub-{c}")
+
+        def tick(now: float, publisher=publisher, channel=channel) -> None:
+            publisher.publish(channel, ("tick", publisher.published), 200)
+
+        tasks.append(PeriodicTask(cluster.sim, 0.5, tick))
+    lossy_from = 1.0 + duration / 3.0
+    lossy_until = 1.0 + 2.0 * duration / 3.0
+    faults = tuple(
+        DegradeLink(lossy_from, sub.node_id, server_id, loss=0.4, until=lossy_until)
+        for sub in subscribers[: 2 * subs]
+        for server_id in sorted(cluster.servers)
+    )
+    FaultInjector(cluster, ChaosSchedule(faults)).arm()
+    cluster.run_until(1.0)
+    for task in tasks:
+        task.start()
+    cluster.run_until(1.0 + duration)
+    for task in tasks:
+        task.stop()
+    cluster.run_for(2.0)  # let replay requests drain
+    replayed = sum(
+        server.reliability.replayed_messages
+        for server in cluster.servers.values()
+        if server.reliability is not None
+    )
+    return delivered[0], replayed
+
+
+class TestLossyLinkWindow:
+    @pytest.fixture(scope="class")
+    def runs(self):
+        return {
+            tier: _lossy_window_run(tier)
+            for tier in ("at_most_once", "at_least_once", "exactly_once")
+        }
+
+    def test_every_tier_delivers(self, runs):
+        for delivered, _ in runs.values():
+            assert delivered > 0
+
+    def test_reliable_tiers_repair_the_lossy_window(self, runs):
+        lossy, replayed = runs["at_most_once"]
+        assert replayed == 0
+        # The window really drops messages when nothing repairs it.
+        assert lossy < runs["exactly_once"][0]
+        for tier in ("at_least_once", "exactly_once"):
+            delivered, replayed = runs[tier]
+            assert delivered >= lossy
+            assert replayed > 0
 
 
 class TestEvictionTruthfulness:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.obs.sink import StreamingJsonlSink
 from repro.obs.sla import OVERALL_SCOPE, SlaConfig, SlaMonitor, SlidingHistogram
 from repro.obs.trace import (
     DeliveryEvent,
@@ -160,3 +161,35 @@ class TestDeterminism:
             return int(result.tracer.metrics.counter("sim_events_total").value)
 
         assert events_processed(None) == events_processed(0.15)
+
+
+class TestStreamedChaosRun:
+    """The chaos smoke run with its trace streamed to disk and no event
+    buffer: counts come from the metrics registry and the SLA report from
+    the live monitor, never from ``tracer.events``."""
+
+    @pytest.fixture(scope="class")
+    def streamed(self, tmp_path_factory):
+        from repro.experiments.chaos import ChaosScenarioConfig, run_chaos
+
+        path = tmp_path_factory.mktemp("chaos") / "chaos.jsonl"
+        sink = StreamingJsonlSink(str(path))
+        tracer = Tracer(sink=sink)
+        result = run_chaos(ChaosScenarioConfig.smoke(), tracer=tracer)
+        sink.finalize(tracer)
+        return result
+
+    def test_streamed_run_reports_counters_not_buffers(self, streamed):
+        metrics = streamed.tracer.metrics
+        assert streamed.tracer.events == []
+        assert metrics.counter("sim_events_total").value > 0
+        assert metrics.counter("deliveries_received_total").value > 0
+
+    def test_sla_report_included(self, streamed):
+        sla = streamed.sla
+        assert sla is not None
+        assert sla["quantile"] == 95.0
+        assert sla["violation_count"] == len(sla["violations"])
+        assert OVERALL_SCOPE in sla["scopes"]
+        for episode in sla["violations"]:
+            assert episode["start_t"] >= 0.0

@@ -1,12 +1,11 @@
-"""Property tests for the kernel's event ordering across queue shapes.
+"""Property tests for the kernel's event ordering across entry shapes.
 
 Random interleavings of ``schedule``, ``schedule_at`` and
 ``schedule_batch`` (non-monotone batches, equal-time ties, batches
 scheduled from inside callbacks at ``now``, cancels that force
 compaction) driven by ``run_until``, ``step`` and ``run(max_events)``.
 A reference model checks every executed event against the pending set:
-it must be the ``(time, insertion order)`` minimum.  The heap and the
-calendar queue must produce the same execution log, and the event
+it must be the ``(time, insertion order)`` minimum, and the event
 counters must be exact at every sample-hook call.
 """
 
@@ -43,13 +42,12 @@ _op = st.one_of(
 class _Driver:
     """Applies one op sequence to a simulator and to the reference model."""
 
-    def __init__(self, scheduler: str) -> None:
-        self.sim = Simulator(scheduler=scheduler)
+    def __init__(self) -> None:
+        self.sim = Simulator()
         # Compact whenever tombstones are the majority, so compaction
         # also happens while a batch run is executing.
         self.sim.COMPACT_MIN_CANCELLED = 1
         self.sim.set_sample_hook(self._sample, every=1)
-        self.log = []
         #: reference model: insertion id -> time, for live unexecuted events
         self.pending = {}
         self.handles = []
@@ -69,7 +67,6 @@ class _Driver:
         assert key == min((time, i) for i, time in self.pending.items())
         del self.pending[ident]
         self.executed += 1
-        self.log.append(key)
         for child in children:
             self.apply(child)
 
@@ -130,16 +127,12 @@ class _Driver:
 class TestKernelOrderingProperties:
     @settings(max_examples=300, deadline=None)
     @given(ops=st.lists(_op, max_size=30))
-    def test_heap_and_calendar_follow_the_reference_order(self, ops):
-        logs = []
-        for scheduler in ("heap", "calendar"):
-            driver = _Driver(scheduler)
-            for op in ops:
-                driver.apply(op)
-            # Drain whatever is left.
-            driver.apply(("run_until", 1000.0))
-            assert not driver.pending
-            assert driver.sim.pending_count == 0
-            assert driver.samples == driver.executed
-            logs.append(driver.log)
-        assert logs[0] == logs[1]
+    def test_heap_follows_the_reference_order(self, ops):
+        driver = _Driver()
+        for op in ops:
+            driver.apply(op)
+        # Drain whatever is left.
+        driver.apply(("run_until", 1000.0))
+        assert not driver.pending
+        assert driver.sim.pending_count == 0
+        assert driver.samples == driver.executed

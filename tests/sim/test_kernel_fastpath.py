@@ -1,8 +1,8 @@
-"""Tests for the kernel's hot-path machinery (PR 4, PR 9).
+"""Tests for the kernel's hot-path machinery.
 
-Covers the calendar-queue scheduler, the fire-and-forget
-``schedule_batch`` path, its interaction with compaction, the managed GC
-policy, and the clean failure state of ``run(max_events=...)``.
+Covers the fire-and-forget ``schedule_batch`` path, its interaction with
+compaction, ``step`` versus ``run_until``, the managed GC policy, and the
+clean failure state of ``run(max_events=...)``.
 """
 
 import gc
@@ -22,12 +22,12 @@ def _mixed_workload(sim: Simulator, log: list) -> None:
     # Exact ties: insertion order must win.
     for i in range(20):
         sim.schedule_at(1.5, log.append, ("tie", i))
-    # Nested scheduling, including zero-delay and into earlier buckets.
+    # Nested scheduling, including zero-delay.
     def nest(depth: int) -> None:
         log.append(("nest", depth, sim.now))
         if depth:
             sim.schedule(0.0, nest, depth - 1)
-            sim.schedule(0.004, nest, 0)  # lands inside the current bucket
+            sim.schedule(0.004, nest, 0)
     sim.schedule_at(2.0, nest, 3)
     # Cancellations interleaved with live events.
     doomed = [sim.schedule_at(2.5, log.append, ("never", i)) for i in range(50)]
@@ -39,29 +39,10 @@ def _mixed_workload(sim: Simulator, log: list) -> None:
     sim.schedule_batch(log.append, times, [(("batch", k),) for k in range(8)])
 
 
-class TestCalendarScheduler:
-    def test_rejects_unknown_scheduler(self):
-        with pytest.raises(ValueError):
-            Simulator(scheduler="wheel")
-
-    def test_rejects_non_positive_bucket(self):
-        with pytest.raises(ValueError):
-            Simulator(scheduler="calendar", calendar_bucket_s=0.0)
-
-    def test_matches_heap_order_exactly(self):
-        logs = []
-        for scheduler in ("heap", "calendar"):
-            sim = Simulator(scheduler=scheduler)
-            log: list = []
-            _mixed_workload(sim, log)
-            sim.run_until(5.0)
-            assert sim.pending_count == 0
-            logs.append(log)
-        assert logs[0] == logs[1]
-
+class TestStepAndRun:
     def test_step_and_run_agree(self):
-        sim_a = Simulator(scheduler="calendar")
-        sim_b = Simulator(scheduler="calendar")
+        sim_a = Simulator()
+        sim_b = Simulator()
         log_a: list = []
         log_b: list = []
         _mixed_workload(sim_a, log_a)
@@ -70,32 +51,6 @@ class TestCalendarScheduler:
         while sim_b.step():
             pass
         assert log_a == log_b
-
-    def test_schedule_into_earlier_bucket_while_draining(self):
-        # With a large bucket the current bucket spans [0, 10): an event
-        # executed at t=1 schedules one at t=0.5 -- the queue must not run
-        # it (the past is rejected) but an earlier *bucket* insert from a
-        # later bucket must still win over the current remainder.
-        sim = Simulator(scheduler="calendar", calendar_bucket_s=1.0)
-        order = []
-        sim.schedule_at(5.5, order.append, "far")
-        sim.schedule_at(5.2, lambda: sim.schedule_at(5.3, order.append, "mid"))
-        sim.schedule_at(0.1, lambda: sim.schedule_at(0.9, order.append, "near"))
-        sim.run_until(10.0)
-        assert order == ["near", "mid", "far"]
-
-    def test_compaction_on_calendar(self):
-        sim = Simulator(scheduler="calendar")
-        live = []
-        doomed = [sim.schedule_at(100.0 + i, live.append, "no") for i in range(200)]
-        sim.schedule_at(1.0, live.append, "yes")
-        for handle in doomed:
-            handle.cancel()
-        assert sim.compactions >= 1
-        assert sim.pending_count < 201  # tombstones actually freed
-        sim.run_until(300.0)  # past every tombstone's timestamp
-        assert live == ["yes"]
-        assert sim.pending_count == 0
 
 
 class TestScheduleBatch:
@@ -115,11 +70,10 @@ class TestScheduleBatch:
         with pytest.raises(ValueError):
             sim.schedule_batch(lambda: None, [4.0], [()])
 
-    @pytest.mark.parametrize("scheduler", ["heap", "calendar"])
-    def test_rejected_batch_leaves_queue_untouched(self, scheduler):
+    def test_rejected_batch_leaves_queue_untouched(self):
         # A past time in the *middle* of a batch must reject the whole
         # batch before anything is enqueued or a sequence number is used.
-        sim = Simulator(scheduler=scheduler)
+        sim = Simulator()
         sim.run_until(5.0)
         fired = []
         with pytest.raises(ValueError):
@@ -167,9 +121,8 @@ class TestScheduleBatch:
         assert sim.pending_count == 0
         assert sim.events_processed == 16
 
-    @pytest.mark.parametrize("scheduler", ["heap", "calendar"])
-    def test_raising_callback_keeps_rest_of_batch_queued(self, scheduler):
-        sim = Simulator(scheduler=scheduler)
+    def test_raising_callback_keeps_rest_of_batch_queued(self):
+        sim = Simulator()
         fired = []
 
         def deliver(k):
@@ -217,11 +170,10 @@ class TestBatchCompactionInteraction:
         assert fired == list(range(10))
         assert sim.pending_count == 0
 
-    @pytest.mark.parametrize("scheduler", ["heap", "calendar"])
-    def test_compaction_inside_a_batch_callback(self, scheduler):
+    def test_compaction_inside_a_batch_callback(self):
         # The first batch item cancels enough timers to compact the queue,
         # then schedules an event that must run before the next item.
-        sim = Simulator(scheduler=scheduler)
+        sim = Simulator()
         order = []
         doomed = [sim.schedule_at(10.0, order.append, "never") for _ in range(100)]
 
@@ -239,19 +191,6 @@ class TestBatchCompactionInteraction:
         sim.run_until(20.0)
         assert sim.compactions >= 1
         assert order == ["item-0", "pushed", "item-1", "item-2"]
-
-    def test_compaction_on_calendar_preserves_batch_entries(self):
-        sim = Simulator(scheduler="calendar")
-        fired = []
-        sim.schedule_batch(fired.append, [100.0 + i for i in range(10)],
-                           [(i,) for i in range(10)])
-        doomed = [sim.schedule_at(150.0 + i, fired.append, -i) for i in range(200)]
-        for handle in doomed:
-            handle.cancel()
-        assert sim.compactions >= 1
-        assert sim.pending_count < 210
-        sim.run_until(300.0)
-        assert fired == list(range(10))
 
 
 class TestRunCleanState:
@@ -331,36 +270,3 @@ class TestManagedGc:
         sim.run_until(3.0)
         assert states == [False, False]
         assert gc.isenabled()
-
-
-class TestEarlierBucketDirtyFlag:
-    """The run loop's earlier-bucket re-check is gated on a flag set at
-    insert time (``_cal_earlier``).  These pin the one scenario that
-    needs it: the clock idles behind a partially drained bucket, then an
-    insert lands in an *earlier* bucket than the current remainder."""
-
-    def test_idle_insert_into_earlier_bucket_wins_over_remainder(self):
-        sim = Simulator(scheduler="calendar", calendar_bucket_s=0.01)
-        order: list = []
-        # Two events in one far-future bucket; drain only the first.
-        sim.schedule_at(1.000, order.append, "first")
-        sim.schedule_at(1.009, order.append, "remainder")
-        sim.run_until(1.000)
-        assert order == ["first"]
-        # The clock idles behind the remainder; schedule into an earlier
-        # bucket, both via a handle and via the batch fast path.
-        sim.schedule_at(1.002, order.append, "earlier-handle")
-        sim.schedule_batch(order.append, [1.003], [("earlier-batch",)])
-        sim.run_until(2.0)
-        assert order == ["first", "earlier-handle", "earlier-batch", "remainder"]
-
-    def test_step_also_respects_earlier_insert(self):
-        sim = Simulator(scheduler="calendar", calendar_bucket_s=0.01)
-        order: list = []
-        sim.schedule_at(1.000, order.append, "first")
-        sim.schedule_at(1.009, order.append, "remainder")
-        sim.run_until(1.000)
-        sim.schedule_at(1.002, order.append, "earlier")
-        while sim.step():
-            pass
-        assert order == ["first", "earlier", "remainder"]

@@ -12,11 +12,9 @@ from __future__ import annotations
 import json
 
 from repro.analysis.config import find_project_root, load_config
-from repro.experiments.bench import compare_to_baseline, extract_headline
 from repro.sweep import (
     SWEEP_SCHEMA,
     CheckTask,
-    bench_sweep,
     check_sweep,
     run_tasks,
 )
@@ -78,26 +76,6 @@ class TestCheckSweep:
         assert doc["results"][0]["delivery_tier"] == "at_least_once"
 
 
-class TestBenchSweep:
-    def test_merged_doc_is_headline_compatible(self):
-        doc = bench_sweep(
-            ["fanout"], profile="smoke", scheduler="calendar", repeat=1
-        )
-        assert doc["mode"] == "bench"
-        headline = extract_headline(doc)
-        assert headline is not None and headline > 0
-        # The merged shape gates against itself without adaptation.
-        assert compare_to_baseline(doc, doc, 0.2) is None
-
-    def test_regression_gate_fires_on_inflated_baseline(self):
-        doc = bench_sweep(
-            ["fanout"], profile="smoke", scheduler="calendar", repeat=1
-        )
-        inflated = json.loads(json.dumps(doc))
-        inflated["scenarios"]["fanout"]["events_per_s"] *= 100.0
-        assert compare_to_baseline(doc, inflated, 0.2) is not None
-
-
 class TestCli:
     def test_check_writes_reports(self, tmp_path, capsys):
         out_json = tmp_path / "soak.json"
@@ -115,20 +93,6 @@ class TestCli:
         assert doc["schema"] == SWEEP_SCHEMA
         assert doc["summary"]["passed"] == 1
         assert "# Check soak" in out_md.read_text(encoding="utf-8")
-
-    def test_bench_baseline_gate_exit_codes(self, tmp_path, capsys):
-        out_json = tmp_path / "bench.json"
-        rc = main(
-            [
-                "bench",
-                "--profile", "smoke",
-                "--scheduler", "calendar",
-                "--scenario", "steady",
-                "--output", str(out_json),
-            ]
-        )
-        assert rc == 0
-        assert json.loads(out_json.read_text(encoding="utf-8"))["mode"] == "bench"
 
 
 class TestDeterminismScope:
